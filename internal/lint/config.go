@@ -7,9 +7,9 @@ import "strings"
 // the module root package. File entries are module-relative slash paths.
 type Config struct {
 	// MapIterPkgs lists the packages where the mapiter check applies: the
-	// determinism-critical engine packages plus everything that renders
-	// stable output (fingerprints, Prometheus text, stats aggregation,
-	// benchjson). internal/detmap is deliberately absent — its sorted-key
+	// determinism-critical engine packages, the serving cache behind every
+	// request (internal/memo), plus everything that renders stable output
+	// (fingerprints, Prometheus text, stats aggregation, benchjson). internal/detmap is deliberately absent — its sorted-key
 	// helpers are the sanctioned form this check points to.
 	MapIterPkgs []string
 
@@ -47,6 +47,7 @@ func DefaultConfig() *Config {
 			"internal/spmat",
 			"internal/tally",
 			"internal/psort",
+			"internal/memo",
 			"rcm",
 			"rcm/service",
 			"rcm/service/cluster",
@@ -79,10 +80,13 @@ func DefaultConfig() *Config {
 				"solver.selectPivots", "solver.eliminate",
 				"solver.mergeVariables", "solver.updateDegrees",
 			},
+			// The serving tier's one memoizing cache: every service and
+			// proxy request makes exactly one lookup.
+			"internal/memo": {"Cache.Do"},
 			// Proxy routing fast path: key resolution and ring placement
 			// run on every proxied request.
 			"rcm/service/cluster": {
-				"Proxy.orderKey", "Proxy.componentsKey", "flightKeyFor",
+				"Proxy.orderKey", "Proxy.componentsKey", "decodeDigest", "flightKeyFor",
 				"Ring.Pick", "Ring.Successors", "Rendezvous", "hash64", "itoa",
 			},
 		},

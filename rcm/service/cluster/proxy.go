@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/memo"
 	"repro/rcm/service"
 )
 
@@ -86,14 +87,12 @@ type Proxy struct {
 	replicas map[string]*replicaState
 	ids      []string // ring order not needed; sorted member list
 
-	mu      sync.Mutex
-	flights map[string]*proxyFlight
-	hot     *hotCache
+	// flights coalesces identical requests and, with HotCacheBytes > 0,
+	// replays recent responses; keyed by flightKeyFor.
+	flights *memo.Cache[*upstreamResult]
 
-	spills    atomic.Uint64
-	coalesced atomic.Uint64
-	hotHits   atomic.Uint64
-	retries   atomic.Uint64
+	spills  atomic.Uint64
+	retries atomic.Uint64
 
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -171,14 +170,6 @@ func (rep *replicaState) retryAfterSeconds(maxInflight int) int {
 	return s
 }
 
-// proxyFlight is one in-progress upstream call; concurrent requests for
-// the same (key, query) wait on done and replay the result.
-type proxyFlight struct {
-	done chan struct{}
-	res  *upstreamResult
-	err  error
-}
-
 // upstreamResult is a complete buffered upstream response, replayable to
 // any number of coalesced waiters.
 type upstreamResult struct {
@@ -254,7 +245,7 @@ func New(cfg Config) (*Proxy, error) {
 		cfg:      cfg,
 		client:   cfg.Client,
 		replicas: make(map[string]*replicaState, len(cfg.Replicas)),
-		flights:  make(map[string]*proxyFlight),
+		flights:  memo.New[*upstreamResult](cfg.HotCacheBytes),
 		stop:     make(chan struct{}),
 	}
 	if p.client == nil {
@@ -275,9 +266,6 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p.ring = NewRing(ids, cfg.VNodes)
 	p.ids = p.ring.Members()
-	if cfg.HotCacheBytes > 0 {
-		p.hot = newHotCache(cfg.HotCacheBytes)
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/order", func(w http.ResponseWriter, r *http.Request) {
@@ -355,14 +343,11 @@ func (p *Proxy) orderKey(r *http.Request, body []byte) (string, int, error) {
 	if err != nil {
 		return "", http.StatusBadRequest, err
 	}
-	a, err := service.DecodeMatrix(r.Header.Get("Content-Type"), body)
+	digest, status, err := decodeDigest(r, body)
 	if err != nil {
-		if errors.Is(err, service.ErrUnsupportedContentType) {
-			return "", http.StatusUnsupportedMediaType, err
-		}
-		return "", http.StatusBadRequest, err
+		return "", status, err
 	}
-	key, err := service.OrderKey(a.Digest(), p.cfg.DefaultSpec.Overlay(sp))
+	key, err := service.OrderKey(digest, p.cfg.DefaultSpec.Overlay(sp))
 	if err != nil {
 		return "", http.StatusBadRequest, err
 	}
@@ -375,14 +360,25 @@ func (p *Proxy) componentsKey(r *http.Request, body []byte) (string, int, error)
 	if k := r.Header.Get("X-RCM-Key"); k != "" {
 		return k, 0, nil
 	}
-	a, err := service.DecodeMatrix(r.Header.Get("Content-Type"), body)
+	digest, status, err := decodeDigest(r, body)
 	if err != nil {
-		if errors.Is(err, service.ErrUnsupportedContentType) {
-			return "", http.StatusUnsupportedMediaType, err
-		}
+		return "", status, err
+	}
+	return service.ComponentsKey(digest), 0, nil
+}
+
+// decodeDigest decodes a buffered body exactly as the replica will and
+// returns its pattern digest, or the status a decode error maps to: 415
+// for an unsupported Content-Type, 400 for a malformed body.
+func decodeDigest(r *http.Request, body []byte) (string, int, error) {
+	a, err := service.DecodeMatrix(r.Header.Get("Content-Type"), body)
+	switch {
+	case errors.Is(err, service.ErrUnsupportedContentType):
+		return "", http.StatusUnsupportedMediaType, err
+	case err != nil:
 		return "", http.StatusBadRequest, err
 	}
-	return service.ComponentsKey(a.Digest()), 0, nil
+	return a.Digest(), 0, nil
 }
 
 // flightKeyFor builds the coalescing/hot-cache key: the resolved cache
@@ -404,8 +400,9 @@ func flightKeyFor(key string, r *http.Request, body []byte) string {
 	return key + "#" + hex.EncodeToString(h.Sum(sum[:0])) + "#" + r.URL.RawQuery
 }
 
-// handleProxied is the shared order/components path: key resolution, hot
-// cache, single-flight coalescing, routed upstream call, replay.
+// handleProxied is the shared order/components path: key resolution, then
+// one flights lookup that answers from the hot cache, joins an identical
+// request in flight, or makes the routed upstream call on this goroutine.
 func (p *Proxy) handleProxied(w http.ResponseWriter, r *http.Request, path string, keyFn func(*http.Request, []byte) (string, int, error)) {
 	body, ok := p.readBody(w, r)
 	if !ok {
@@ -417,54 +414,27 @@ func (p *Proxy) handleProxied(w http.ResponseWriter, r *http.Request, path strin
 		return
 	}
 	flightKey := flightKeyFor(key, r, body)
-	if p.hot != nil {
-		if res := p.hot.get(flightKey); res != nil {
-			p.hotHits.Add(1)
-			res.write(w, true, false)
-			return
+	res, st, err := p.flights.Do(r.Context(), flightKey, func(call *memo.Call[*upstreamResult]) {
+		res, err := p.forward(r, path, key, body)
+		// Only store what the replica confirmed: res.key is the key the
+		// replica derived from the body itself (empty if the replica did
+		// not echo one), so a client echoing a stale or wrong X-RCM-Key
+		// can misroute its own request (a documented miss) but cannot
+		// poison the hot cache for honest clients, and a non-echoing
+		// replica is never hot-cached at all.
+		size := memo.Uncacheable
+		if err == nil && res.status == http.StatusOK && res.key == key {
+			size = res.bytes() + int64(len(flightKey))
 		}
-	}
-
-	p.mu.Lock()
-	if f, ok := p.flights[flightKey]; ok {
-		p.mu.Unlock()
-		p.coalesced.Add(1)
-		select {
-		case <-f.done:
-		case <-r.Context().Done():
-			return // caller went away; the leader carries on
-		}
-		if f.err != nil {
-			p.writeRouteErr(w, f.err)
-			return
-		}
-		f.res.write(w, false, true)
-		return
-	}
-	f := &proxyFlight{done: make(chan struct{})}
-	p.flights[flightKey] = f
-	p.mu.Unlock()
-
-	res, err := p.forward(r, path, key, body)
-	f.res, f.err = res, err
-	p.mu.Lock()
-	delete(p.flights, flightKey)
-	p.mu.Unlock()
-	close(f.done)
-
-	if err != nil {
+		call.Finish(res, size, err)
+	})
+	switch {
+	case err == nil:
+		res.write(w, st == memo.Hit, st == memo.Dedup)
+	case r.Context().Err() == nil:
 		p.writeRouteErr(w, err)
-		return
 	}
-	// Only cache what the replica confirmed: res.key is the key the replica
-	// derived from the body itself (empty if the replica did not echo one),
-	// so a client echoing a stale or wrong X-RCM-Key can misroute its own
-	// request (a documented miss) but cannot poison the hot cache for
-	// honest clients, and a non-echoing replica is never hot-cached at all.
-	if p.hot != nil && res.status == http.StatusOK && res.key == key {
-		p.hot.put(flightKey, res)
-	}
-	res.write(w, false, false)
+	// Otherwise the caller went away; nothing useful to write.
 }
 
 func (p *Proxy) writeRouteErr(w http.ResponseWriter, err error) {

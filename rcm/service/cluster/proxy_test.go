@@ -152,9 +152,7 @@ func TestProxyCoalesces(t *testing.T) {
 	// Let all requests reach the flight before releasing the stub.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		p.mu.Lock()
-		waiting := len(p.flights) == 1
-		p.mu.Unlock()
+		waiting := p.flights.Stats().Inflight == 1
 		if waiting && a.calls.Load() == 1 {
 			break
 		}

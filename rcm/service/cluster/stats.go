@@ -39,6 +39,7 @@ type RoutingStats struct {
 
 // RoutingStats snapshots the proxy's routing counters.
 func (p *Proxy) RoutingStats() RoutingStats {
+	fs := p.flights.Stats()
 	rs := RoutingStats{
 		Requests:  make(map[string]uint64, len(p.ids)),
 		Shed:      make(map[string]uint64, len(p.ids)),
@@ -46,8 +47,8 @@ func (p *Proxy) RoutingStats() RoutingStats {
 		Healthy:   make(map[string]bool, len(p.ids)),
 		Spills:    p.spills.Load(),
 		Retries:   p.retries.Load(),
-		Coalesced: p.coalesced.Load(),
-		HotHits:   p.hotHits.Load(),
+		Coalesced: fs.Dedups,
+		HotHits:   fs.Hits,
 	}
 	for _, id := range p.ids {
 		rep := p.replicas[id]
@@ -131,7 +132,7 @@ func fetchStats(ctx context.Context, client *http.Client, base string) (*service
 }
 
 // mergeStats folds one replica's snapshot into the fleet aggregate:
-// counters and gauges sum; latency histograms merge per backend by bucket
+// counters and gauges sum; latency histograms merge per engine by bucket
 // bound; modelled phase breakdowns merge by phase name.
 func mergeStats(agg *service.Stats, st *service.Stats) {
 	agg.Hits += st.Hits

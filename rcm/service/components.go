@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/memo"
 	"repro/rcm"
 )
 
@@ -45,14 +46,6 @@ type ComponentsResponse struct {
 	Labels []int `json:"labels,omitempty"`
 }
 
-// compFlight is one in-progress components analysis; followers wait on done
-// instead of recomputing.
-type compFlight struct {
-	done chan struct{}
-	resp *ComponentsResponse
-	err  error
-}
-
 // Components serves one connected-components analysis: from the cache when
 // the matrix digest is known, by joining an identical in-flight analysis,
 // and otherwise by computing it on the calling goroutine (the pass is a
@@ -65,52 +58,22 @@ func (s *Service) Components(ctx context.Context, a *rcm.Matrix, threads int) (*
 		return nil, fmt.Errorf("service: nil matrix")
 	}
 	key := ComponentsKey(a.Digest())
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	if cached, ok := s.cache.get(key).(*ComponentsResponse); ok {
-		s.hits++
-		s.mu.Unlock()
-		r := *cached
-		r.Cached = true
-		return &r, nil
-	}
-	f, leader := s.comps[key], false
-	if f == nil {
-		f = &compFlight{done: make(chan struct{})}
-		s.comps[key] = f
-		s.misses++
-		leader = true
-	} else {
-		s.dedups++
-	}
-	s.mu.Unlock()
-
-	if leader {
-		f.resp, f.err = s.runComponents(key, a, threads)
-		s.mu.Lock()
-		if f.err == nil {
-			s.cache.put(key, f.resp, componentsBytes(f.resp))
+	v, st, err := s.results.Do(ctx, key, func(call *memo.Call[any]) {
+		resp, err := s.runComponents(key, a, threads)
+		if err != nil {
+			call.Finish(nil, 0, err)
+			return
 		}
-		if s.comps[key] == f {
-			delete(s.comps, key)
-		}
-		s.mu.Unlock()
-		close(f.done)
+		call.Finish(resp, componentsBytes(resp), nil)
+	})
+	if err != nil {
+		return nil, err
 	}
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	r := *f.resp
-	r.Deduped = !leader
+	r := *v.(*ComponentsResponse)
+	r.Cached, r.Deduped = st == memo.Hit, st == memo.Dedup
 	return &r, nil
 }
 

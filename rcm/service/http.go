@@ -107,20 +107,14 @@ func readMatrixBody(s *Service, w http.ResponseWriter, r *http.Request) *rcm.Mat
 			httpError{fmt.Sprintf("request body %d bytes exceeds the %d-byte upload cap", r.ContentLength, s.cfg.MaxUploadBytes)})
 		return nil
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	ct := r.Header.Get("Content-Type")
-	if mt, _, err := mime.ParseMediaType(ct); err == nil {
-		ct = mt // drop parameters like "; charset=utf-8"
+	binary, err := isBinaryUpload(r.Header.Get("Content-Type"))
+	if err != nil {
+		writeJSON(w, http.StatusUnsupportedMediaType, httpError{err.Error()})
+		return nil
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	var a *rcm.Matrix
-	var err error
-	switch ct {
-	// x-www-form-urlencoded is what curl --data-binary sends when no
-	// Content-Type is given; treat it as Matrix Market text so the
-	// obvious curl invocation works.
-	case ContentTypeMatrixMarket, "text/plain", "application/x-www-form-urlencoded", "":
-		a, _, err = rcm.ReadMatrixMarket(r.Body)
-	case ContentTypeBinary, "application/octet-stream":
+	if binary {
 		// Buffer the body (already capped by MaxBytesReader) and decode
 		// through the zero-copy parallel reader: the column decode fans
 		// out across GOMAXPROCS and the cache-key digest is computed in
@@ -129,10 +123,10 @@ func readMatrixBody(s *Service, w http.ResponseWriter, r *http.Request) *rcm.Mat
 		if body, err = io.ReadAll(r.Body); err == nil {
 			a, err = rcm.ReadBinaryBytes(body, 0)
 		}
-	default:
-		writeJSON(w, http.StatusUnsupportedMediaType,
-			httpError{fmt.Sprintf("unsupported Content-Type %q (want %s or %s)", ct, ContentTypeMatrixMarket, ContentTypeBinary)})
-		return nil
+	} else {
+		// Matrix Market text streams straight from the body: no
+		// body-sized buffer.
+		a, _, err = rcm.ReadMatrixMarket(r.Body)
 	}
 	if err != nil {
 		status := http.StatusBadRequest
@@ -144,6 +138,36 @@ func readMatrixBody(s *Service, w http.ResponseWriter, r *http.Request) *rcm.Mat
 		return nil
 	}
 	return a
+}
+
+// writeServeErr maps an Order or Components error to its response: 503
+// once the service is closed, nothing when the client went away, and 400
+// for everything else — a rejected configuration or matrix, which the
+// facade's validation layer reports before any engine runs.
+func writeServeErr(w http.ResponseWriter, r *http.Request, err error) {
+	switch {
+	case errors.Is(err, ErrClosed):
+		writeJSON(w, http.StatusServiceUnavailable, httpError{err.Error()})
+	case r.Context().Err() != nil:
+		// client went away; nothing useful to write
+	default:
+		writeJSON(w, http.StatusBadRequest, httpError{err.Error()})
+	}
+}
+
+// writeServed writes one served result as JSON with its X-Cache
+// (hit | dedup | miss) and X-RCM-Key headers.
+func writeServed(w http.ResponseWriter, key string, cached, deduped bool, v any) {
+	xcache := "miss"
+	switch {
+	case cached:
+		xcache = "hit"
+	case deduped:
+		xcache = "dedup"
+	}
+	w.Header().Set("X-Cache", xcache)
+	w.Header().Set("X-RCM-Key", key)
+	writeJSON(w, http.StatusOK, v)
 }
 
 func handleOrder(s *Service, w http.ResponseWriter, r *http.Request) {
@@ -158,34 +182,16 @@ func handleOrder(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp, err := s.Order(r.Context(), a, sp)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrClosed):
-		writeJSON(w, http.StatusServiceUnavailable, httpError{err.Error()})
-		return
-	case r.Context().Err() != nil:
-		return // client went away; nothing useful to write
-	default:
-		// Everything else is a rejected configuration or matrix: the
-		// facade's validation layer speaks before any engine runs.
-		writeJSON(w, http.StatusBadRequest, httpError{err.Error()})
+	if err != nil {
+		writeServeErr(w, r, err)
 		return
 	}
-	switch {
-	case resp.Cached:
-		w.Header().Set("X-Cache", "hit")
-	case resp.Deduped:
-		w.Header().Set("X-Cache", "dedup")
-	default:
-		w.Header().Set("X-Cache", "miss")
-	}
-	w.Header().Set("X-RCM-Key", resp.Key)
 	if !includePerm {
 		trimmed := *resp
 		trimmed.Perm = nil
 		resp = &trimmed
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeServed(w, resp.Key, resp.Cached, resp.Deduped, resp)
 }
 
 func handleComponents(s *Service, w http.ResponseWriter, r *http.Request) {
@@ -215,32 +221,16 @@ func handleComponents(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp, err := s.Components(r.Context(), a, threads)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrClosed):
-		writeJSON(w, http.StatusServiceUnavailable, httpError{err.Error()})
-		return
-	case r.Context().Err() != nil:
-		return // client went away; nothing useful to write
-	default:
-		writeJSON(w, http.StatusBadRequest, httpError{err.Error()})
+	if err != nil {
+		writeServeErr(w, r, err)
 		return
 	}
-	switch {
-	case resp.Cached:
-		w.Header().Set("X-Cache", "hit")
-	case resp.Deduped:
-		w.Header().Set("X-Cache", "dedup")
-	default:
-		w.Header().Set("X-Cache", "miss")
-	}
-	w.Header().Set("X-RCM-Key", resp.Key)
 	if !includeLabels {
 		trimmed := *resp
 		trimmed.Labels = nil
 		resp = &trimmed
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeServed(w, resp.Key, resp.Cached, resp.Deduped, resp)
 }
 
 // ErrUnsupportedContentType is wrapped by DecodeMatrix for content types
@@ -255,20 +245,35 @@ var ErrUnsupportedContentType = errors.New("service: unsupported Content-Type")
 // its cache key before a replica sees it; the server's own handler keeps
 // streaming text bodies and never calls this.
 func DecodeMatrix(contentType string, body []byte) (*rcm.Matrix, error) {
+	binary, err := isBinaryUpload(contentType)
+	if err != nil {
+		return nil, err
+	}
+	if binary {
+		return rcm.ReadBinaryBytes(body, 0)
+	}
+	a, _, err := rcm.ReadMatrixMarket(bytes.NewReader(body))
+	return a, err
+}
+
+// isBinaryUpload resolves an upload's Content-Type, parameters dropped:
+// RCMB binary (ContentTypeBinary, octet-stream) or Matrix Market text
+// (ContentTypeMatrixMarket, text/plain, x-www-form-urlencoded — what curl
+// --data-binary sends by default — or unset). Anything else is an error
+// wrapping ErrUnsupportedContentType.
+func isBinaryUpload(contentType string) (bool, error) {
 	ct := contentType
 	if mt, _, err := mime.ParseMediaType(ct); err == nil {
-		ct = mt // drop parameters like "; charset=utf-8"
+		ct = mt
 	}
 	switch ct {
-	case ContentTypeMatrixMarket, "text/plain", "application/x-www-form-urlencoded", "":
-		a, _, err := rcm.ReadMatrixMarket(bytes.NewReader(body))
-		return a, err
 	case ContentTypeBinary, "application/octet-stream":
-		return rcm.ReadBinaryBytes(body, 0)
-	default:
-		return nil, fmt.Errorf("%w %q (want %s or %s)",
-			ErrUnsupportedContentType, contentType, ContentTypeMatrixMarket, ContentTypeBinary)
+		return true, nil
+	case ContentTypeMatrixMarket, "text/plain", "application/x-www-form-urlencoded", "":
+		return false, nil
 	}
+	return false, fmt.Errorf("%w %q (want %s or %s)",
+		ErrUnsupportedContentType, contentType, ContentTypeMatrixMarket, ContentTypeBinary)
 }
 
 // SpecFromQuery decodes the /v1/order query parameters into a Spec plus
@@ -365,7 +370,7 @@ func specFromQuery(q url.Values) (sp Spec, includePerm bool, err error) {
 }
 
 // writeMetrics renders the Stats snapshot in the Prometheus text exposition
-// format (counters, gauges, and one latency histogram per backend).
+// format (counters, gauges, and one latency histogram per engine).
 func writeMetrics(w http.ResponseWriter, st Stats) {
 	gauge := func(name string, help string, v any) {
 		fmt.Fprintf(w, "# HELP rcm_service_%s %s\n# TYPE rcm_service_%s gauge\n", name, help, name)
@@ -395,7 +400,7 @@ func writeMetrics(w http.ResponseWriter, st Stats) {
 		}
 	}
 	if len(st.Latency) > 0 {
-		fmt.Fprintf(w, "# HELP rcm_service_latency_seconds wall-clock ordering latency per backend\n")
+		fmt.Fprintf(w, "# HELP rcm_service_latency_seconds wall-clock ordering latency per engine (the rcm backend, or amd/sloan)\n")
 		fmt.Fprintf(w, "# TYPE rcm_service_latency_seconds histogram\n")
 		for _, b := range detmap.Keys(st.Latency) {
 			h := st.Latency[b]

@@ -16,7 +16,7 @@
 // Every response reports how it was served (computed, cache hit, or
 // coalesced onto an in-flight computation), and Stats exposes the
 // operational counters — hit/miss/dedup/eviction counts, queue depth,
-// per-backend latency histograms, and the cumulative modelled BSP
+// per-engine latency histograms, and the cumulative modelled BSP
 // breakdown of the distributed jobs — that /metrics exports. See
 // OPERATIONS.md for running and sizing the server.
 package service
@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/detmap"
+	"repro/internal/memo"
 	"repro/rcm"
 )
 
@@ -114,8 +115,9 @@ type Stats struct {
 	// recomputation work the cache and single-flight saved is
 	// Hits + Dedups.
 	Jobs uint64 `json:"jobs"`
-	// Inflight is the number of distinct keys currently computing;
-	// QueueDepth the jobs accepted but not yet picked up by a worker.
+	// Inflight is the number of distinct keys currently computing,
+	// orderings and components analyses alike; QueueDepth the jobs
+	// accepted but not yet picked up by a worker.
 	Inflight   int `json:"inflight"`
 	QueueDepth int `json:"queueDepth"`
 	// Entries and Bytes describe the cache's current occupancy against
@@ -128,15 +130,16 @@ type Stats struct {
 	// Orderings counts executed jobs per ordering family (rcm|amd|sloan)
 	// — computed ones; cache hits and dedups add nothing, matching Jobs.
 	Orderings map[string]uint64 `json:"orderings,omitempty"`
-	// Latency holds one wall-clock histogram per backend that executed
-	// at least one job.
+	// Latency holds one wall-clock histogram per engine that executed at
+	// least one job: the backend name for rcm jobs, amd or sloan for the
+	// other families.
 	Latency map[string]LatencyStats `json:"latency,omitempty"`
 	// Modeled is the cumulative modelled BSP phase breakdown summed over
 	// all distributed jobs (computed ones — cache hits add nothing).
 	Modeled []PhaseSeconds `json:"modeled,omitempty"`
 }
 
-// LatencyStats is one backend's latency histogram: cumulative bucket counts
+// LatencyStats is one engine's latency histogram: cumulative bucket counts
 // in the Prometheus convention plus count and sum.
 type LatencyStats struct {
 	Count        uint64          `json:"count"`
@@ -158,50 +161,30 @@ type PhaseSeconds struct {
 	CommSeconds float64 `json:"commSeconds"`
 }
 
-// flight is one in-progress computation; followers of the same key wait on
-// done instead of enqueuing a second job.
-type flight struct {
-	done chan struct{}
-	once sync.Once
-	resp *Response
-	err  error
-}
-
-// complete resolves the flight exactly once (the worker on success or
-// failure, Close on shutdown).
-func (f *flight) complete(resp *Response, err error) {
-	f.once.Do(func() {
-		f.resp, f.err = resp, err
-		close(f.done)
-	})
-}
-
-// job is one queued ordering.
+// job is one queued ordering; the worker that runs it finishes call.
 type job struct {
 	key  string
 	a    *rcm.Matrix
 	opts []rcm.Option
-	f    *flight
+	call *memo.Call[any]
 }
 
 // Service is the concurrent ordering service. Create one with New, share it
 // freely across goroutines, and Close it when done. All exported methods
 // are goroutine-safe.
 type Service struct {
-	cfg      Config
-	jobs     chan *job
-	quit     chan struct{}
-	wg       sync.WaitGroup
-	draining atomic.Bool
+	cfg       Config
+	jobs      chan *job
+	quit      chan struct{}
+	wg        sync.WaitGroup
+	closeOnce sync.Once
+	closed    atomic.Bool
+	draining  atomic.Bool
+	// results memoizes orderings and components analyses under one byte
+	// budget; it decides every hit, miss and dedup.
+	results *memo.Cache[any]
 
-	mu        sync.Mutex
-	closed    bool
-	cache     *lruCache
-	flights   map[string]*flight
-	comps     map[string]*compFlight
-	hits      uint64
-	misses    uint64
-	dedups    uint64
+	mu        sync.Mutex // guards the executed-job records below
 	jobsRun   uint64
 	latency   map[string]*latencyHist
 	modeled   map[string]*phaseAgg // phase name -> cumulative modelled seconds
@@ -229,9 +212,7 @@ func New(cfg Config) *Service {
 		cfg:       cfg,
 		jobs:      make(chan *job, cfg.QueueDepth),
 		quit:      make(chan struct{}),
-		cache:     newLRUCache(cfg.CacheBytes),
-		flights:   make(map[string]*flight),
-		comps:     make(map[string]*compFlight),
+		results:   memo.New[any](cfg.CacheBytes),
 		latency:   make(map[string]*latencyHist),
 		modeled:   make(map[string]*phaseAgg),
 		orderings: make(map[string]uint64),
@@ -285,71 +266,40 @@ func (s *Service) Order(ctx context.Context, a *rcm.Matrix, sp Spec) (*Response,
 		return nil, err
 	}
 	key := a.Digest() + "|" + rcm.OptionsFingerprint(opts...)
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	if cached, ok := s.cache.get(key).(*Response); ok {
-		s.hits++
-		s.mu.Unlock()
-		r := *cached
-		r.Cached = true
-		return &r, nil
-	}
-	f, leader := s.flights[key], false
-	if f == nil {
-		f = &flight{done: make(chan struct{})}
-		s.flights[key] = f
-		s.misses++
-		leader = true
-	} else {
-		s.dedups++
-	}
-	s.mu.Unlock()
-
-	if leader {
-		// The enqueue deliberately ignores the leader's context: the
-		// flight is shared, and failing it because one requester went
-		// away would fail followers with healthy connections. A full
-		// queue therefore blocks until a worker frees a slot (bounded —
-		// workers always drain) or the service shuts down; the leader's
-		// own wait below still honors its context.
+	v, st, err := s.results.Do(ctx, key, func(call *memo.Call[any]) {
+		// The enqueue deliberately ignores the leader's context: the call
+		// is shared, and failing it because one requester went away would
+		// fail followers with healthy connections. A full queue therefore
+		// blocks until a worker frees a slot (bounded — workers always
+		// drain) or the service shuts down; the leader's own wait still
+		// honors its context.
 		select {
-		case s.jobs <- &job{key: key, a: a, opts: opts, f: f}:
+		case s.jobs <- &job{key: key, a: a, opts: opts, call: call}:
 		case <-s.quit:
-			s.abandon(key, f, ErrClosed)
+			call.Finish(nil, 0, ErrClosed)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	r := *f.resp
-	r.Deduped = !leader
+	r := *v.(*Response)
+	r.Cached, r.Deduped = st == memo.Hit, st == memo.Dedup
 	return &r, nil
-}
-
-// abandon resolves a flight whose job never reached the pool, so followers
-// do not wait forever.
-func (s *Service) abandon(key string, f *flight, err error) {
-	s.mu.Lock()
-	if s.flights[key] == f {
-		delete(s.flights, key)
-	}
-	s.mu.Unlock()
-	f.complete(nil, err)
 }
 
 // worker executes queued jobs until Close.
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for {
+		// Shutdown wins over a queued job: Close fails what is queued.
+		select {
+		case <-s.quit:
+			return
+		default:
+		}
 		select {
 		case j := <-s.jobs:
 			s.run(j)
@@ -359,7 +309,7 @@ func (s *Service) worker() {
 	}
 }
 
-// run executes one ordering, records it, and resolves the flight.
+// run executes one ordering, records it, and finishes its call.
 func (s *Service) run(j *job) {
 	start := time.Now()
 	res, err := rcm.Order(j.a, j.opts...)
@@ -387,12 +337,17 @@ func (s *Service) run(j *job) {
 	s.mu.Lock()
 	s.jobsRun++
 	if err == nil {
-		s.cache.put(j.key, resp, responseBytes(resp))
 		s.orderings[resp.Ordering]++
-		h := s.latency[resp.Backend]
+		// File the latency under the engine that ran: AMD and Sloan only
+		// echo the configured RCM backend.
+		engine := resp.Backend
+		if resp.Ordering != rcm.RCM.String() {
+			engine = resp.Ordering
+		}
+		h := s.latency[engine]
 		if h == nil {
 			h = &latencyHist{}
-			s.latency[resp.Backend] = h
+			s.latency[engine] = h
 		}
 		h.observe(elapsed)
 		if resp.Modeled != nil {
@@ -407,26 +362,30 @@ func (s *Service) run(j *job) {
 			}
 		}
 	}
-	delete(s.flights, j.key)
 	s.mu.Unlock()
-	j.f.complete(resp, err)
+	if err != nil {
+		j.call.Finish(nil, 0, err)
+		return
+	}
+	j.call.Finish(resp, responseBytes(resp), nil)
 }
 
 // Stats snapshots the operational counters.
 func (s *Service) Stats() Stats {
+	ms := s.results.Stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Hits:          s.hits,
-		Misses:        s.misses,
-		Dedups:        s.dedups,
-		Evictions:     s.cache.evictions,
+		Hits:          ms.Hits,
+		Misses:        ms.Misses,
+		Dedups:        ms.Dedups,
+		Evictions:     ms.Evictions,
 		Jobs:          s.jobsRun,
-		Inflight:      len(s.flights),
+		Inflight:      ms.Inflight,
 		QueueDepth:    len(s.jobs),
-		Entries:       len(s.cache.items),
-		Bytes:         s.cache.bytes,
-		CapacityBytes: s.cache.capacity,
+		Entries:       ms.Entries,
+		Bytes:         ms.Bytes,
+		CapacityBytes: ms.Capacity,
 		Workers:       s.cfg.Workers,
 	}
 	if len(s.orderings) > 0 {
@@ -455,41 +414,18 @@ func (s *Service) Stats() Stats {
 // Close stops the pool: running jobs finish, queued and future requests
 // fail with ErrClosed. Safe to call more than once.
 func (s *Service) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.quit)
-	s.wg.Wait()
-	// Fail whatever never reached a worker: drained queue entries and any
-	// flight whose leader lost the enqueue race with shutdown. The drain
-	// runs again after the flights are failed because a racing leader may
-	// land its send between the two steps; a send that lands after the
-	// final drain leaks only the job's memory until the Service itself is
-	// unreachable — its caller still gets ErrClosed via the failed flight.
-	for i := 0; i < 2; i++ {
-		for {
-			select {
-			case j := <-s.jobs:
-				s.abandon(j.key, j.f, ErrClosed)
-				continue
-			default:
-			}
-			break
+	s.closeOnce.Do(func() {
+		s.closed.Store(true)
+		close(s.quit)
+		s.wg.Wait()
+		// Fail every call that never reached a worker: queued jobs, and
+		// leaders that raced the closed flag and lost the enqueue race
+		// with shutdown; later requests that raced the flag get ErrClosed
+		// from the cache itself. Then drop the queued jobs so their
+		// matrices can be freed.
+		s.results.Close(ErrClosed)
+		for len(s.jobs) > 0 {
+			<-s.jobs
 		}
-		s.mu.Lock()
-		pending := make([]*flight, 0, len(s.flights))
-		//lint:ignore mapiter shutdown drain: every flight fails with the same ErrClosed and the map is emptied, so order is unobservable
-		for key, f := range s.flights {
-			pending = append(pending, f)
-			delete(s.flights, key)
-		}
-		s.mu.Unlock()
-		for _, f := range pending {
-			f.complete(nil, ErrClosed)
-		}
-	}
+	})
 }

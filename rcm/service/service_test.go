@@ -359,6 +359,81 @@ func TestClose(t *testing.T) {
 	}
 }
 
+// TestCloseFailsQueued closes the service while one job runs and another
+// waits in the queue, each with a leader and a follower: the running
+// job's callers still get its result, both callers of the queued job get
+// ErrClosed, and Close returns.
+func TestCloseFailsQueued(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	ctx := context.Background()
+	mats := []*rcm.Matrix{rcm.RandomRegular(100000, 6, 9), rcm.RandomRegular(100000, 6, 10)}
+	errs := make([]chan error, len(mats))
+	for i, a := range mats {
+		errs[i] = make(chan error, 2)
+		for j := 0; j < 2; j++ {
+			go func() {
+				_, err := svc.Order(ctx, a, service.Spec{})
+				errs[i] <- err
+			}()
+		}
+	}
+	// Both keys in flight with one follower each and one job queued: the
+	// worker is running the other.
+	waitStats(t, svc, func(st service.Stats) bool {
+		return st.Inflight == 2 && st.Dedups == 2 && st.QueueDepth == 1
+	})
+	if st := svc.Stats(); st.Jobs != 0 {
+		t.Fatal("a job finished before Close")
+	}
+	svc.Close()
+	var ran, failed int
+	for i := range mats {
+		e1, e2 := <-errs[i], <-errs[i]
+		switch {
+		case e1 == nil && e2 == nil:
+			ran++
+		case e1 == service.ErrClosed && e2 == service.ErrClosed:
+			failed++
+		default:
+			t.Errorf("key %d: callers got %v and %v, want both results or both ErrClosed", i, e1, e2)
+		}
+	}
+	if ran != 1 || failed != 1 {
+		t.Errorf("%d keys served and %d failed, want the running one served and the queued one failed", ran, failed)
+	}
+}
+
+// waitStats polls the service until cond holds.
+func waitStats(t *testing.T, svc *service.Service, cond func(service.Stats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond(svc.Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats never reached the expected state: %+v", svc.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLatencyPerEngine files a job's latency under the engine that ran
+// it: an AMD job under amd, not under the RCM backend its response
+// echoes.
+func TestLatencyPerEngine(t *testing.T) {
+	svc := service.New(service.Config{})
+	defer svc.Close()
+	a, _ := rcm.Scramble(rcm.Grid2D(12, 12), 1)
+	if _, err := svc.Order(context.Background(), a, service.Spec{Ordering: "amd"}); err != nil {
+		t.Fatal(err)
+	}
+	lat := svc.Stats().Latency
+	if lat["amd"].Count != 1 {
+		t.Errorf("amd latency count %d, want 1 (histograms: %v)", lat["amd"].Count, lat)
+	}
+	if _, ok := lat["sequential"]; ok {
+		t.Error("AMD job filed under the sequential backend")
+	}
+}
+
 // TestContextCancelled: a request whose context is already done never
 // hangs; it either completes (the job raced ahead) or reports the context
 // error.
