@@ -45,7 +45,7 @@ func RunAblationSort(cfg Config, procs int) []SortAblationRow {
 		for _, mode := range []core.SortMode{core.SortFull, core.SortLocal, core.SortNone} {
 			model := cfg.model().WithThreads(cc.Threads)
 			ord := core.Distributed(a, core.DistOptions{Procs: cc.Procs, Model: model, SortMode: mode, Options: cfg.optionsFor(a)})
-			bw := a.Permute(ord.Perm).Bandwidth()
+			bw := a.StatsUnder(ord.Perm, 1).Bandwidth
 			total := secs(ord.Breakdown.TotalNs() - ord.Breakdown.PhaseNs(tally.Setup))
 			sortSecs := secs(ord.Breakdown.PhaseNs(tally.OrderingSort))
 			switch mode {
@@ -96,13 +96,13 @@ func RunAblationSemiring(cfg Config, seeds int) []SemiringAblationRow {
 		}
 		a := e.Build(cfg.scale())
 		row := SemiringAblationRow{Name: e.Name}
-		row.BWDeterministic = a.Permute(core.Sequential(a).Perm).Bandwidth()
+		row.BWDeterministic = a.StatsUnder(core.Sequential(a).Perm, 1).Bandwidth
 		rng := rand.New(rand.NewSource(17))
 		for s := 0; s < seeds; s++ {
 			q := rng.Perm(a.N)
 			shuffled := a.Permute(q)
 			perm := core.Sequential(shuffled).Perm
-			row.BWSpread = append(row.BWSpread, shuffled.Permute(perm).Bandwidth())
+			row.BWSpread = append(row.BWSpread, shuffled.StatsUnder(perm, 1).Bandwidth)
 		}
 		rows = append(rows, row)
 	}
@@ -284,8 +284,8 @@ func RunAblationHeuristic(cfg Config, procs int) []HeuristicAblationRow {
 			opt := cfg.optionsFor(a)
 			applyHeuristic(&opt, a, h)
 			seq := core.SequentialOpt(a, opt)
-			p := a.Permute(seq.Perm)
-			row.BW[hi], row.Prof[hi] = p.Bandwidth(), p.Profile()
+			st := a.StatsUnder(seq.Perm, 1)
+			row.BW[hi], row.Prof[hi] = st.Bandwidth, st.Profile
 			if h != "pseudo-peripheral" && h != "bi-criteria" {
 				continue
 			}
@@ -349,7 +349,7 @@ func RunQuality(cfg Config, procs []int) []QualityRow {
 		var perms [][]int
 		for _, p := range procs {
 			ord := core.Distributed(a, core.DistOptions{Procs: p, Model: cfg.model(), Options: cfg.optionsFor(a)})
-			row.Bandwidths = append(row.Bandwidths, a.Permute(ord.Perm).Bandwidth())
+			row.Bandwidths = append(row.Bandwidths, a.StatsUnder(ord.Perm, 1).Bandwidth)
 			perms = append(perms, ord.Perm)
 		}
 		for i := 1; i < len(perms); i++ {

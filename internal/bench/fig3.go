@@ -38,11 +38,11 @@ func RunFig3(cfg Config) []Fig3Row {
 		}
 		a := e.Build(cfg.scale())
 		ord := core.Sequential(a)
-		p := a.Permute(ord.Perm)
+		pre, post := a.StatsUnder(nil, 1), a.StatsUnder(ord.Perm, 1)
 		rows = append(rows, Fig3Row{
 			Name: e.Name, N: a.N, NNZ: a.NNZ(),
-			BWPre: a.Bandwidth(), BWPost: p.Bandwidth(),
-			ProfilePre: a.Profile(), ProfilePost: p.Profile(),
+			BWPre: pre.Bandwidth, BWPost: post.Bandwidth,
+			ProfilePre: pre.Profile, ProfilePost: post.Profile,
 			PseudoDiam: ord.PseudoDiameter,
 			PaperN:     e.PaperN, PaperNNZ: e.PaperNNZ,
 			PaperBWPre: e.PaperBWPre, PaperBWPost: e.PaperBWPost, PaperDiam: e.PaperDiam,

@@ -41,32 +41,33 @@ func RunAblationOrdering(cfg Config, threads int) []OrderingRow {
 			continue
 		}
 		a := e.Build(cfg.scale())
+		pre := a.StatsUnder(nil, 1)
 		row := OrderingRow{
 			Name:       e.Name,
 			N:          a.N,
 			NNZ:        a.NNZ(),
-			BWBefore:   a.Bandwidth(),
-			FillBefore: a.FillProxy(),
-			ProfBefore: a.Profile(),
+			BWBefore:   pre.Bandwidth,
+			FillBefore: pre.FillProxy,
+			ProfBefore: pre.Profile,
 		}
 
 		start := time.Now()
 		rc := core.Sequential(a)
 		row.SecsRCM = time.Since(start).Seconds()
-		pr := a.Permute(rc.Perm)
-		row.BWRCM, row.FillRCM, row.ProfRCM = pr.Bandwidth(), pr.FillProxy(), pr.Profile()
+		pr := a.StatsUnder(rc.Perm, 1)
+		row.BWRCM, row.FillRCM, row.ProfRCM = pr.Bandwidth, pr.FillProxy, pr.Profile
 
 		start = time.Now()
 		ap := amd.Order(a, threads)
 		row.SecsAMD = time.Since(start).Seconds()
-		pa := a.Permute(ap)
-		row.BWAMD, row.FillAMD, row.ProfAMD = pa.Bandwidth(), pa.FillProxy(), pa.Profile()
+		pa := a.StatsUnder(ap, 1)
+		row.BWAMD, row.FillAMD, row.ProfAMD = pa.Bandwidth, pa.FillProxy, pa.Profile
 
 		start = time.Now()
 		sl := core.Sloan(a)
 		row.SecsSln = time.Since(start).Seconds()
-		ps := a.Permute(sl.Perm)
-		row.BWSln, row.FillSln, row.ProfSln = ps.Bandwidth(), ps.FillProxy(), ps.Profile()
+		ps := a.StatsUnder(sl.Perm, 1)
+		row.BWSln, row.FillSln, row.ProfSln = ps.Bandwidth, ps.FillProxy, ps.Profile
 
 		rows = append(rows, row)
 	}

@@ -50,7 +50,7 @@ func runScalePoint(a *spmat.CSR, cc CoreConfig, base *tally.Model, mode core.Sor
 	pt := ScalePoint{
 		Config:           cc,
 		Breakdown:        b,
-		Bandwidth:        a.Permute(ord.Perm).Bandwidth(),
+		Bandwidth:        a.StatsUnder(ord.Perm, 1).Bandwidth,
 		PeripheralSpMSpV: secs(b.PhaseNs(tally.PeripheralSpMSpV)),
 		PeripheralOther:  secs(b.PhaseNs(tally.PeripheralOther)),
 		OrderingSpMSpV:   secs(b.PhaseNs(tally.OrderingSpMSpV)),

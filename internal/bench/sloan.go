@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graphgen"
-	"repro/internal/spmat"
 )
 
 // SloanRow compares RCM against Sloan's ordering on the envelope metrics
@@ -32,23 +31,24 @@ func RunSloanComparison(cfg Config) []SloanRow {
 			continue
 		}
 		a := e.Build(cfg.scale())
+		pre := a.StatsUnder(nil, 1)
 		row := SloanRow{
 			Name:          e.Name,
-			BWBefore:      a.Bandwidth(),
-			ProfileBefore: a.Profile(),
-			RMSBefore:     a.Wavefront().RMS,
+			BWBefore:      pre.Bandwidth,
+			ProfileBefore: pre.Profile,
+			RMSBefore:     pre.Wavefront.RMS,
 		}
 		start := time.Now()
 		rcm := core.Sequential(a)
 		row.SecsRCM = time.Since(start).Seconds()
-		pr := a.Permute(rcm.Perm)
-		row.BWRCM, row.ProfileRCM, row.RMSRCM = pr.Bandwidth(), pr.Profile(), pr.Wavefront().RMS
+		pr := a.StatsUnder(rcm.Perm, 1)
+		row.BWRCM, row.ProfileRCM, row.RMSRCM = pr.Bandwidth, pr.Profile, pr.Wavefront.RMS
 
 		start = time.Now()
 		sl := core.Sloan(a)
 		row.SecsSloan = time.Since(start).Seconds()
-		ps := a.Permute(sl.Perm)
-		row.BWSloan, row.ProfSloan, row.RMSSloan = ps.Bandwidth(), ps.Profile(), ps.Wavefront().RMS
+		ps := a.StatsUnder(sl.Perm, 1)
+		row.BWSloan, row.ProfSloan, row.RMSSloan = ps.Bandwidth, ps.Profile, ps.Wavefront.RMS
 		rows = append(rows, row)
 	}
 	w := cfg.out()
@@ -64,10 +64,4 @@ func RunSloanComparison(cfg Config) []SloanRow {
 	}
 	fmt.Fprintln(w)
 	return rows
-}
-
-// WavefrontOf is a small helper used by tests and the CLI: the wavefront
-// stats of a matrix under a given ordering.
-func WavefrontOf(a *spmat.CSR, perm []int) spmat.WavefrontStats {
-	return a.Permute(perm).Wavefront()
 }

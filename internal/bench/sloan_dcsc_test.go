@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/graphgen"
-	"repro/internal/spmat"
 )
 
 func TestRunSloanComparison(t *testing.T) {
@@ -34,14 +31,6 @@ func TestRunSloanComparison(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Sloan") {
 		t.Error("table not rendered")
-	}
-}
-
-func TestWavefrontOf(t *testing.T) {
-	a := graphgen.Path(10)
-	wf := WavefrontOf(a, spmat.Identity(10))
-	if wf.Max != 2 {
-		t.Errorf("path wavefront max = %d", wf.Max)
 	}
 }
 

@@ -65,7 +65,7 @@ func RunTable2(cfg Config) []Table2Row {
 			row.SharedSecs = append(row.SharedSecs, time.Since(start).Seconds())
 			sharedPerm = ord.Perm
 		}
-		row.SharedBW = a.Permute(sharedPerm).Bandwidth()
+		row.SharedBW = a.StatsUnder(sharedPerm, 1).Bandwidth
 		for _, cc := range distCfgs {
 			pt := runScalePoint(a, cc, cfg.model(), core.SortFull, cfg.optionsFor(a))
 			row.DistCores = append(row.DistCores, cc.Cores)

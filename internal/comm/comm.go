@@ -532,29 +532,6 @@ func Bcast[T any](c *Comm, val T, root int) T {
 	return out
 }
 
-// BcastSlice broadcasts root's slice to every rank (fresh copies).
-func BcastSlice[T any](c *Comm, data []T, root int) []T {
-	if c.size == 1 {
-		return append([]T(nil), data...)
-	}
-	if c.rank == root {
-		depositSlice(c, data)
-	} else {
-		c.deposit(nil, 0)
-	}
-	sync := c.maxClock()
-	src := peek[T](c, root)
-	out := append([]T(nil), src...)
-	cost := c.model.AllGatherCost(c.size, words[T](len(src)))
-	var msgs, sent int64
-	if c.rank == root {
-		msgs, sent = int64(log2int(c.size)), words[T](len(src))
-	}
-	c.stats.CommSync(sync, cost, msgs, sent)
-	c.release()
-	return out
-}
-
 // Gatherv gathers every rank's slice at root; non-root ranks receive nil.
 // The concatenation is in rank order.
 func Gatherv[T any](c *Comm, local []T, root int) []T {
@@ -588,18 +565,14 @@ func Gatherv[T any](c *Comm, local []T, root int) []T {
 	return out
 }
 
-// Exchange swaps a slice with a partner rank (a point-to-point sendrecv,
-// used for the transpose exchange of the 2D SpMSpV). Both ranks of a pair
-// must call Exchange with each other's rank in the same collective step; all
-// other ranks of the communicator must call it too (possibly with
+// ExchangeInto swaps a slice with a partner rank (a point-to-point
+// sendrecv, used for the transpose exchange of the 2D SpMSpV), appending the
+// partner's slice into into[:0] (grown as needed). Both ranks of a pair
+// must call ExchangeInto with each other's rank in the same collective step;
+// all other ranks of the communicator must call it too (possibly with
 // partner == own rank, which is a local copy). This keeps the operation
 // bulk-synchronous, matching how the CombBLAS vector transpose behaves
 // between two barriers.
-func Exchange[T any](c *Comm, partner int, data []T) []T {
-	return ExchangeInto(c, partner, data, nil)
-}
-
-// ExchangeInto is Exchange appending into into[:0] (grown as needed).
 func ExchangeInto[T any](c *Comm, partner int, data []T, into []T) []T {
 	if partner == c.rank {
 		// Still participate in the collective step.

@@ -206,24 +206,6 @@ func TestBcast(t *testing.T) {
 	})
 }
 
-func TestBcastSlice(t *testing.T) {
-	Run(3, nil, func(c *Comm) {
-		var data []int
-		if c.Rank() == 0 {
-			data = []int{1, 2, 3}
-		}
-		got := BcastSlice(c, data, 0)
-		if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-			t.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		got[0] = -1 // must be a private copy
-		again := BcastSlice(c, data, 0)
-		if again[0] != 1 {
-			t.Errorf("rank %d saw mutation: %v", c.Rank(), again)
-		}
-	})
-}
-
 func TestGatherv(t *testing.T) {
 	p := 4
 	Run(p, nil, func(c *Comm) {
@@ -249,7 +231,7 @@ func TestExchangePairs(t *testing.T) {
 	partners := []int{0, 2, 1, 3}
 	Run(4, nil, func(c *Comm) {
 		data := []int{c.Rank() * 11}
-		got := Exchange(c, partners[c.Rank()], data)
+		got := ExchangeInto(c, partners[c.Rank()], data, nil)
 		want := partners[c.Rank()] * 11
 		if len(got) != 1 || got[0] != want {
 			t.Errorf("rank %d got %v, want [%d]", c.Rank(), got, want)
@@ -260,10 +242,10 @@ func TestExchangePairs(t *testing.T) {
 func TestExchangeSelfIsCopy(t *testing.T) {
 	Run(1, nil, func(c *Comm) {
 		data := []int{5}
-		got := Exchange(c, 0, data)
+		got := ExchangeInto(c, 0, data, nil)
 		got[0] = 9
 		if data[0] != 5 {
-			t.Error("Exchange with self aliased the input")
+			t.Error("ExchangeInto with self aliased the input")
 		}
 	})
 }

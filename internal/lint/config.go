@@ -66,11 +66,11 @@ func DefaultConfig() *Config {
 			"rcm/service": {"OrderKey", "ComponentsKey"},
 			// RCMB zero-copy decode: the service ingest fast path.
 			"internal/mmio": {"readBinaryBytes", "splitVarints", "decodeColBlock", "uvarintAt"},
-			// Permute/stats kernels: paid on every ordering's Before/After.
+			// Stats kernel: paid on every ordering's Before/After; permute:
+			// on every OrderMatrix and Permute.
 			"internal/spmat": {
 				"CSR.Permute", "CSR.PermutePar",
-				"CSR.DegreesPar", "CSR.BandwidthPar", "CSR.ProfilePar", "CSR.WavefrontPar",
-				"CSR.FillProxy", "CSR.FillProxyPar",
+				"CSR.DegreesPar", "CSR.StatsUnder", "CSR.FillProxy",
 				"PatternDigest", "PatternHasher.WriteInts", "PatternHasher.SumHex",
 			},
 			// AMD pivot kernels: the per-round parallel phases — every

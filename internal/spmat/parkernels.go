@@ -1,18 +1,15 @@
 package spmat
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Parallel bulk kernels over row blocks: the ingest-and-permute path of the
-// ordering service runs these on every request (PAPᵀ plus before/after
-// bandwidth/profile/wavefront statistics), so at high cache hit ratios they
-// — not the ordering engines — are the serving bottleneck. Each kernel
+// ordering service runs these on every request (the Before/After statistics,
+// and PAPᵀ when the caller asks for it), so at high cache hit ratios they —
+// not the ordering engines — are the serving bottleneck. Each kernel
 // partitions the rows with Blocks/WeightedBlocks and either writes disjoint
 // output ranges or reduces per-block partials, so the results are
-// byte-identical to the serial methods at any thread count. threads == 1
-// runs the serial code path directly; threads < 1 selects GOMAXPROCS.
+// byte-identical to the serial methods at any thread count. threads < 1
+// selects GOMAXPROCS.
 
 // minParallelRows gates the goroutine fan-out: below this size the spawn
 // overhead exceeds the sweep itself. A variable so the equivalence tests can
@@ -30,7 +27,8 @@ func (a *CSR) PermutePar(perm []int, threads int) *CSR {
 	if threads == 1 || a.N < minParallelRows {
 		return a.Permute(perm)
 	}
-	if err := ValidatePerm(perm, a.N); err != nil {
+	inv, err := checkedInverse(perm, a.N)
+	if err != nil {
 		//lint:ignore hotalloc cold abort: an invalid permutation never reaches the kernel loop, so this boxing runs zero times on the fast path
 		panic("spmat: " + err.Error())
 	}
@@ -38,14 +36,12 @@ func (a *CSR) PermutePar(perm []int, threads int) *CSR {
 	bounds := Blocks(n, threads)
 	nb := len(bounds) - 1
 
-	inv := make([]int, n)
 	rowPtr := make([]int, n+1)
 	blockNNZ := make([]int, nb+1)
 	parallelBlocks(bounds, func(k, lo, hi int) {
 		sum := 0
 		for i := lo; i < hi; i++ {
 			old := perm[i]
-			inv[old] = i
 			// Stash the row length; the scan below turns it into offsets.
 			rowPtr[i+1] = a.RowPtr[old+1] - a.RowPtr[old]
 			sum += rowPtr[i+1]
@@ -112,128 +108,80 @@ func (a *CSR) DegreesPar(threads int) []int {
 	return deg
 }
 
-// BandwidthPar is Bandwidth over nnz-balanced row blocks with a max
-// reduction of the per-block partials.
-func (a *CSR) BandwidthPar(threads int) int {
-	if threads == 1 || a.N < minParallelRows {
-		return a.Bandwidth()
-	}
-	bounds := WeightedBlocks(a.RowPtr, threads)
-	part := make([]int, len(bounds)-1)
-	parallelBlocks(bounds, func(k, lo, hi int) {
-		bw := 0
-		for i := lo; i < hi; i++ {
-			for _, j := range a.Row(i) {
-				d := i - j
-				if d < 0 {
-					d = -d
-				}
-				if d > bw {
-					bw = d
-				}
-			}
-		}
-		part[k] = bw
-	})
-	bw := 0
-	for _, p := range part {
-		if p > bw {
-			bw = p
-		}
-	}
-	return bw
+// Stats is the ordering-quality summary StatsUnder computes: the serial
+// Bandwidth, Profile, FillProxy and Wavefront of PAPᵀ.
+type Stats struct {
+	Bandwidth int
+	Profile   int64
+	FillProxy int64
+	Wavefront WavefrontStats
 }
 
-// ProfilePar is Profile over row blocks with a sum reduction. The sweep is
-// O(n) — each row contributes only its first stored column — so the blocks
-// are uniform in rows.
-func (a *CSR) ProfilePar(threads int) int64 {
-	if threads == 1 || a.N < minParallelRows {
-		return a.Profile()
-	}
-	bounds := Blocks(a.N, threads)
-	part := make([]int64, len(bounds)-1)
-	parallelBlocks(bounds, func(k, lo, hi int) {
-		var p int64
-		for i := lo; i < hi; i++ {
-			row := a.Row(i)
-			if len(row) == 0 {
-				continue
-			}
-			if bi := i - row[0]; bi > 0 {
-				p += int64(bi)
-			}
-		}
-		part[k] = p
-	})
-	var p int64
-	for _, v := range part {
-		p += v
-	}
-	return p
-}
-
-// FillProxyPar is FillProxy over nnz-balanced row blocks with a sum
-// reduction of the per-block partials.
-func (a *CSR) FillProxyPar(threads int) int64 {
-	if threads == 1 || a.N < minParallelRows {
-		return a.FillProxy()
-	}
-	bounds := WeightedBlocks(a.RowPtr, threads)
-	part := make([]int64, len(bounds)-1)
-	parallelBlocks(bounds, func(k, lo, hi int) {
-		var f int64
-		for i := lo; i < hi; i++ {
-			row := a.Row(i)
-			u := int64(len(row) - sort.SearchInts(row, i+1))
-			f += u * (u - 1) / 2
-		}
-		part[k] = f
-	})
-	var f int64
-	for _, v := range part {
-		f += v
-	}
-	return f
-}
-
-// WavefrontPar is Wavefront with the first-nonzero-column gather — the only
-// part that touches the sparse structure — parallelized over row blocks;
-// the difference-array accumulation and the O(n) scan that follows stay
-// sequential (they are pure arithmetic on dense arrays and the scan carries
-// a dependency).
-func (a *CSR) WavefrontPar(threads int) WavefrontStats {
-	if threads == 1 || a.N < minParallelRows {
-		return a.Wavefront()
-	}
+// StatsUnder returns the statistics of PAPᵀ for perm in the symrcm
+// convention of Permute (nil means the natural order) without building it.
+// Row k = inv[i] of PAPᵀ holds the relabelled columns inv[j] of row i of A,
+// so one O(n + nnz) pass over nnz-balanced row blocks of A needs per row
+// only the first column f_k = min(k, inv[j]) (§II-A), the largest inv[j] − k
+// and the count of inv[j] > k; the blocks reduce integer partials. Only the
+// wavefront scan stays sequential in row order of PAPᵀ, so every field —
+// Mean and RMS bit for bit — equals the serial methods on Permute(perm) at
+// any thread count. threads < 1 selects GOMAXPROCS. A malformed perm panics
+// with the ValidatePerm diagnosis, like Permute.
+func (a *CSR) StatsUnder(perm []int, threads int) Stats {
 	n := a.N
-	fj := make([]int, n)
-	parallelBlocks(Blocks(n, threads), func(_, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			fj[j] = j
-			row := a.Row(j)
-			if len(row) > 0 && row[0] < j {
-				fj[j] = row[0]
+	if n == 0 {
+		return Stats{}
+	}
+	var inv []int
+	if perm != nil {
+		var err error
+		if inv, err = checkedInverse(perm, n); err != nil {
+			//lint:ignore hotalloc cold abort: an invalid permutation never reaches the kernel loop, so this boxing runs zero times on the fast path
+			panic("spmat: " + err.Error())
+		}
+	}
+	if n < minParallelRows {
+		threads = 1
+	}
+	type partial struct {
+		bw            int
+		profile, fill int64
+	}
+	bounds := WeightedBlocks(a.RowPtr, threads)
+	part := make([]partial, len(bounds)-1)
+	first := make([]int, n)
+	parallelBlocks(bounds, func(b, lo, hi int) {
+		var p partial
+		for i := lo; i < hi; i++ {
+			k := i
+			if inv != nil {
+				k = inv[i]
 			}
+			f, u := k, int64(0)
+			for _, j := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
+				if inv != nil {
+					j = inv[j]
+				}
+				if j > k {
+					u++
+					p.bw = max(p.bw, j-k)
+				} else if j < f {
+					f = j
+				}
+			}
+			first[k] = f
+			p.bw = max(p.bw, k-f)
+			p.profile += int64(k - f)
+			p.fill += u * (u - 1) / 2
 		}
+		part[b] = p
 	})
-	diff := make([]int, n+1)
-	for j := 0; j < n; j++ {
-		diff[fj[j]]++
-		diff[j+1]--
+	var st Stats
+	for _, p := range part {
+		st.Bandwidth = max(st.Bandwidth, p.bw)
+		st.Profile += p.profile
+		st.FillProxy += p.fill
 	}
-	var st WavefrontStats
-	cur := 0
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		cur += diff[i]
-		if cur > st.Max {
-			st.Max = cur
-		}
-		sum += float64(cur)
-		sumSq += float64(cur) * float64(cur)
-	}
-	st.Mean = sum / float64(n)
-	st.RMS = math.Sqrt(sumSq / float64(n))
+	st.Wavefront = wavefront(first)
 	return st
 }

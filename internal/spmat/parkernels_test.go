@@ -32,10 +32,11 @@ func forceParallel(t *testing.T) {
 }
 
 // TestParallelKernelsMatchSerial pins the contract of the ingest-and-permute
-// kernels: at every thread count, Permute/Bandwidth/Profile/Degrees/
-// Wavefront over row blocks produce the byte-identical result of the serial
-// methods, on patterns with and without values, dense stripes, empty rows
-// and the empty matrix.
+// kernels: at every thread count, Permute and Degrees over row blocks produce
+// the byte-identical result of the serial methods, and StatsUnder equals the
+// serial Bandwidth/Profile/FillProxy/Wavefront of the materialised PAPᵀ — on
+// patterns with and without values, a structurally non-symmetric pattern,
+// dense stripes, empty rows and the empty matrix.
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	forceParallel(t)
 	mats := map[string]*CSR{
@@ -51,6 +52,15 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		hub = append(hub, Coord{0, j, 1}, Coord{j, 0, 1})
 	}
 	mats["hub"] = FromCoords(150, hub, true)
+	// Structurally non-symmetric (Order measures its unsymmetrized input):
+	// one-directional random entries, some rows empty, some with entries on
+	// one side of the diagonal only.
+	rng := rand.New(rand.NewSource(5))
+	var nonsym []Coord
+	for e := 0; e < 400; e++ {
+		nonsym = append(nonsym, Coord{rng.Intn(120), rng.Intn(120), 1})
+	}
+	mats["nonsymmetric"] = FromCoords(120, nonsym, true)
 
 	for name, a := range mats {
 		for _, threads := range []int{1, 2, 4, 9} {
@@ -60,20 +70,36 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 			if !reflect.DeepEqual(wantP, gotP) {
 				t.Errorf("%s threads=%d: PermutePar differs from Permute", name, threads)
 			}
-			if got, want := a.BandwidthPar(threads), a.Bandwidth(); got != want {
-				t.Errorf("%s threads=%d: BandwidthPar = %d, want %d", name, threads, got, want)
-			}
-			if got, want := a.ProfilePar(threads), a.Profile(); got != want {
-				t.Errorf("%s threads=%d: ProfilePar = %d, want %d", name, threads, got, want)
-			}
 			if got, want := a.DegreesPar(threads), a.Degrees(); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s threads=%d: DegreesPar differs", name, threads)
 			}
-			if got, want := a.WavefrontPar(threads), a.Wavefront(); got != want {
-				t.Errorf("%s threads=%d: WavefrontPar = %+v, want %+v", name, threads, got, want)
+			want := Stats{wantP.Bandwidth(), wantP.Profile(), wantP.FillProxy(), wantP.Wavefront()}
+			if got := a.StatsUnder(perm, threads); got != want {
+				t.Errorf("%s threads=%d: StatsUnder = %+v, want %+v", name, threads, got, want)
+			}
+			natural := a.StatsUnder(Identity(a.N), threads)
+			if got := a.StatsUnder(nil, threads); got != natural {
+				t.Errorf("%s threads=%d: StatsUnder(nil) = %+v, identity gives %+v", name, threads, got, natural)
+			}
+			if want := (Stats{a.Bandwidth(), a.Profile(), a.FillProxy(), a.Wavefront()}); natural != want {
+				t.Errorf("%s threads=%d: StatsUnder(identity) = %+v, want %+v", name, threads, natural, want)
 			}
 		}
 	}
+}
+
+// TestStatsUnderValidates pins that StatsUnder rejects a malformed
+// permutation like Permute does: with a panic carrying the ValidatePerm
+// diagnosis, before any kernel reads it.
+func TestStatsUnderValidates(t *testing.T) {
+	forceParallel(t)
+	a := randSymK(64, 100, false, 3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("StatsUnder accepted a duplicate-entry permutation")
+		}
+	}()
+	a.StatsUnder(make([]int, a.N), 4) // all zeros: duplicates
 }
 
 // TestPermuteParValidates pins that the parallel path rejects malformed

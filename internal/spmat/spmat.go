@@ -274,7 +274,8 @@ func (a *CSR) FillProxy() int64 {
 // are supposed to have validated already — the public facade returns the
 // same diagnosis as an error instead.
 func (a *CSR) Permute(perm []int) *CSR {
-	if err := ValidatePerm(perm, a.N); err != nil {
+	inv, err := checkedInverse(perm, a.N)
+	if err != nil {
 		//lint:ignore hotalloc cold abort: an invalid permutation never reaches the kernel loop, so this boxing runs zero times on the fast path
 		panic("spmat: " + err.Error())
 	}
@@ -283,13 +284,8 @@ func (a *CSR) Permute(perm []int) *CSR {
 	// place. A permutation cannot create duplicates, so no merge pass is
 	// needed — this allocates exactly the output arrays, where the old
 	// coordinate-list construction built a 32-byte-per-entry transient and
-	// re-deduplicated (the facade computes PAPᵀ on every Order call, so
-	// the service path repays this on every request).
+	// re-deduplicated.
 	n := a.N
-	inv := make([]int, n)
-	for k, old := range perm {
-		inv[old] = k
-	}
 	rowPtr := make([]int, n+1)
 	for k := 0; k < n; k++ {
 		old := perm[k]
@@ -393,23 +389,30 @@ func IsPerm(p []int) bool {
 // behind every permutation-accepting entry point (Permute, the rcm facade,
 // mmio.ReadPerm).
 func ValidatePerm(p []int, n int) error {
+	_, err := checkedInverse(p, n)
+	return err
+}
+
+// checkedInverse is InvertPerm behind the ValidatePerm diagnosis: the
+// position table the duplicate check fills is the inverse permutation.
+func checkedInverse(p []int, n int) ([]int, error) {
 	if len(p) != n {
-		return fmt.Errorf("permutation has length %d, want %d", len(p), n)
+		return nil, fmt.Errorf("permutation has length %d, want %d", len(p), n)
 	}
-	seen := make([]int, n)
-	for k := range seen {
-		seen[k] = -1
+	inv := make([]int, n)
+	for k := range inv {
+		inv[k] = -1
 	}
 	for k, v := range p {
 		if v < 0 || v >= n {
-			return fmt.Errorf("permutation entry %d at position %d outside 0..%d", v, k, n-1)
+			return nil, fmt.Errorf("permutation entry %d at position %d outside 0..%d", v, k, n-1)
 		}
-		if prev := seen[v]; prev >= 0 {
-			return fmt.Errorf("permutation repeats entry %d at positions %d and %d", v, prev, k)
+		if prev := inv[v]; prev >= 0 {
+			return nil, fmt.Errorf("permutation repeats entry %d at positions %d and %d", v, prev, k)
 		}
-		seen[v] = k
+		inv[v] = k
 	}
-	return nil
+	return inv, nil
 }
 
 // InvertPerm returns the inverse permutation: out[p[k]] = k.

@@ -19,11 +19,10 @@ type Info struct {
 }
 
 // Summarize computes the structural summary of a matrix. The component
-// labeling runs through the lock-free ParallelComponents pass and the
-// degree/bandwidth/profile sweeps through the row-block-parallel kernels;
-// one Degrees result feeds both the max and the average, so the pattern is
-// walked once per metric and the summary of a large matrix costs a handful
-// of parallel sweeps instead of four serial ones.
+// labeling runs through the lock-free ParallelComponents pass, the degrees
+// and the bandwidth/profile through the row-block-parallel kernels; one
+// Degrees result feeds both the max and the average, so the summary of a
+// large matrix costs three parallel sweeps.
 func Summarize(name string, a *CSR) Info {
 	deg := a.DegreesPar(0)
 	maxd, sum := 0, 0
@@ -38,12 +37,13 @@ func Summarize(name string, a *CSR) Info {
 	if a.N > 0 {
 		avg = float64(sum) / float64(a.N)
 	}
+	st := a.StatsUnder(nil, 0)
 	return Info{
 		Name:       name,
 		N:          a.N,
 		NNZ:        a.NNZ(),
-		Bandwidth:  a.BandwidthPar(0),
-		Profile:    a.ProfilePar(0),
+		Bandwidth:  st.Bandwidth,
+		Profile:    st.Profile,
 		Components: ncomp,
 		MaxDegree:  maxd,
 		AvgDegree:  avg,

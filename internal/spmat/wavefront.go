@@ -21,20 +21,27 @@ type WavefrontStats struct {
 // ordering. Rows without nonzeros contribute a front of one (themselves).
 // O(n + nnz).
 func (a *CSR) Wavefront() WavefrontStats {
-	n := a.N
+	first := make([]int, a.N)
+	for j := range first {
+		first[j] = j
+		if row := a.Row(j); len(row) > 0 && row[0] < j {
+			first[j] = row[0]
+		}
+	}
+	return wavefront(first)
+}
+
+// wavefront scans the fronts of an ordering given first[j] = min(j, f_j):
+// row j is active at steps i in [first[j], j]. The interval counts
+// accumulate in a difference array, scanned in row order.
+func wavefront(first []int) WavefrontStats {
+	n := len(first)
 	if n == 0 {
 		return WavefrontStats{}
 	}
-	// Row j is active at steps i in [f_j, j]; accumulate interval counts
-	// with a difference array.
 	diff := make([]int, n+1)
-	for j := 0; j < n; j++ {
-		fj := j
-		row := a.Row(j)
-		if len(row) > 0 && row[0] < fj {
-			fj = row[0]
-		}
-		diff[fj]++
+	for j, f := range first {
+		diff[f]++
 		diff[j+1]--
 	}
 	var st WavefrontStats

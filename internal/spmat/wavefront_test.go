@@ -39,6 +39,28 @@ func TestWavefrontArrow(t *testing.T) {
 	}
 }
 
+// TestStatsUnderPathWavefront: a path keeps its fronts of two under the
+// identity and under its reversal (the RCM ordering of a path).
+func TestStatsUnderPathWavefront(t *testing.T) {
+	var coords [][2]int
+	for v := 0; v < 10; v++ {
+		coords = append(coords, [2]int{v, v})
+		if v+1 < 10 {
+			coords = append(coords, [2]int{v, v + 1}, [2]int{v + 1, v})
+		}
+	}
+	a := tri(10, coords...)
+	rev := make([]int, 10)
+	for k := range rev {
+		rev[k] = 9 - k
+	}
+	for _, perm := range [][]int{Identity(10), rev} {
+		if wf := a.StatsUnder(perm, 1).Wavefront; wf.Max != 2 {
+			t.Errorf("path wavefront max under %v = %d", perm, wf.Max)
+		}
+	}
+}
+
 func TestWavefrontTridiagonal(t *testing.T) {
 	// Each row j>0 active at steps j-1 and j: fronts 2,2,2,1 for n=4.
 	a := tri(4,

@@ -18,11 +18,6 @@ type Sp struct {
 // Len returns nnz(x).
 func (x *Sp) Len() int { return len(x.Ind) }
 
-// Clone returns a deep copy.
-func (x *Sp) Clone() *Sp {
-	return &Sp{Ind: append([]int(nil), x.Ind...), Val: append([]int64(nil), x.Val...)}
-}
-
 // Reset empties the vector, keeping capacity.
 func (x *Sp) Reset() {
 	x.Ind = x.Ind[:0]
@@ -38,34 +33,6 @@ func (x *Sp) Append(ind int, val int64) {
 // Single returns a sparse vector with one entry.
 func Single(ind int, val int64) *Sp {
 	return &Sp{Ind: []int{ind}, Val: []int64{val}}
-}
-
-// IsSorted reports whether indices are strictly increasing.
-func (x *Sp) IsSorted() bool {
-	for i := 1; i < len(x.Ind); i++ {
-		if x.Ind[i] <= x.Ind[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// SortByInd sorts the entries by index (used after bucket exchanges) with a
-// linear-time keyed sort.
-func (x *Sp) SortByInd() {
-	type pair struct {
-		i int
-		v int64
-	}
-	ps := make([]pair, len(x.Ind))
-	for k := range x.Ind {
-		ps[k] = pair{x.Ind[k], x.Val[k]}
-	}
-	psort.Keyed(ps, func(p pair) uint64 { return uint64(p.i) }, 1)
-	for k := range ps {
-		x.Ind[k] = ps[k].i
-		x.Val[k] = ps[k].v
-	}
 }
 
 // Ind returns the indices of the nonzero entries: the IND primitive. The
@@ -144,17 +111,6 @@ func TuplesOf(x *Sp, deg []int64) []Tuple {
 		ts[k] = Tuple{Parent: x.Val[k], Degree: deg[i], Vertex: i}
 	}
 	return ts
-}
-
-// TupleLess is the lexicographic (parent, degree, vertex) order.
-func TupleLess(a, b Tuple) bool {
-	if a.Parent != b.Parent {
-		return a.Parent < b.Parent
-	}
-	if a.Degree != b.Degree {
-		return a.Degree < b.Degree
-	}
-	return a.Vertex < b.Vertex
 }
 
 // SortTuples sorts records lexicographically; the resulting positions are

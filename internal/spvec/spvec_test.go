@@ -6,7 +6,55 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/psort"
 )
+
+// Test-only helpers: the deep copy, the sortedness and index-sort checks
+// and the comparison-based tuple order the kernels are tested against.
+
+// Clone returns a deep copy.
+func (x *Sp) Clone() *Sp {
+	return &Sp{Ind: append([]int(nil), x.Ind...), Val: append([]int64(nil), x.Val...)}
+}
+
+// IsSorted reports whether indices are strictly increasing.
+func (x *Sp) IsSorted() bool {
+	for i := 1; i < len(x.Ind); i++ {
+		if x.Ind[i] <= x.Ind[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// SortByInd sorts the entries by index with a linear-time keyed sort.
+func (x *Sp) SortByInd() {
+	type pair struct {
+		i int
+		v int64
+	}
+	ps := make([]pair, len(x.Ind))
+	for k := range x.Ind {
+		ps[k] = pair{x.Ind[k], x.Val[k]}
+	}
+	psort.Keyed(ps, func(p pair) uint64 { return uint64(p.i) }, 1)
+	for k := range ps {
+		x.Ind[k] = ps[k].i
+		x.Val[k] = ps[k].v
+	}
+}
+
+// TupleLess is the lexicographic (parent, degree, vertex) order.
+func TupleLess(a, b Tuple) bool {
+	if a.Parent != b.Parent {
+		return a.Parent < b.Parent
+	}
+	if a.Degree != b.Degree {
+		return a.Degree < b.Degree
+	}
+	return a.Vertex < b.Vertex
+}
 
 func TestSpBasics(t *testing.T) {
 	x := &Sp{}

@@ -85,10 +85,6 @@ func Scramble(a *Matrix, seed int64) (*Matrix, []int) {
 	return wrap(s), perm
 }
 
-// RandomPermutation returns a seeded random permutation of 0..n-1 in
-// symrcm (new→old) convention.
-func RandomPermutation(n int, seed int64) []int { return graphgen.RandPerm(n, seed) }
-
 // SuiteEntry is one matrix of the paper's nine-matrix evaluation suite
 // (Fig. 3): the synthetic analog generator together with the
 // paper-reported reference numbers.

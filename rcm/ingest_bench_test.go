@@ -11,8 +11,8 @@ import (
 
 // BenchmarkIngest measures the raw-speed ingest-and-permute path in
 // isolation: RCMB decode from an in-memory image (the mmap'd-file case),
-// decode with the cache-key digest fused in, and the bulk permute+stats
-// kernels that bracket every ordering — each serial versus parallel.
+// decode with the cache-key digest fused in, and the bulk permute and stats
+// kernels — each serial versus parallel.
 // b.SetBytes makes `go test -bench` report MB/s alongside ns/op, and
 // cmd/benchjson folds both into the BENCH_order.json artifact, so CI's
 // regression gate covers the ingest path too.
@@ -62,7 +62,7 @@ func BenchmarkIngest(b *testing.B) {
 	}
 	perm := rand.New(rand.NewSource(1)).Perm(a.N)
 	// Bytes actually swept per iteration: the pattern once for the permute
-	// scatter and once for the stats kernels, as 8-byte words.
+	// scatter and once for the stats kernel over PAPᵀ, as 8-byte words.
 	patternBytes := int64(8 * (2*a.NNZ() + a.N))
 	for _, mode := range modes {
 		b.Run("permute-stats/"+mode.name, func(b *testing.B) {
@@ -70,9 +70,7 @@ func BenchmarkIngest(b *testing.B) {
 			b.SetBytes(patternBytes)
 			for i := 0; i < b.N; i++ {
 				p := a.PermutePar(perm, mode.threads)
-				_ = p.BandwidthPar(mode.threads)
-				_ = p.ProfilePar(mode.threads)
-				_ = p.WavefrontPar(mode.threads)
+				_ = p.StatsUnder(nil, mode.threads)
 			}
 		})
 	}

@@ -107,16 +107,10 @@ func (m *Matrix) Degrees() []int { return m.csr.Degrees() }
 // entries — are rejected with a diagnosis naming the first offending
 // position, before any kernel touches them.
 func (m *Matrix) Permute(perm []int) (*Matrix, error) {
-	return m.permutePar(perm, 1)
-}
-
-// permutePar is Permute over row-block-parallel scatter; output is
-// identical at any thread count.
-func (m *Matrix) permutePar(perm []int, threads int) (*Matrix, error) {
 	if err := spmat.ValidatePerm(perm, m.csr.N); err != nil {
 		return nil, fmt.Errorf("rcm: %v", err)
 	}
-	return wrap(m.csr.PermutePar(perm, threads)), nil
+	return wrap(m.csr.Permute(perm)), nil
 }
 
 // Equal reports whether two matrices have the identical pattern (and, when
@@ -152,21 +146,17 @@ func (m *Matrix) SpyString(w, h int) string { return m.csr.SpyString(w, h) }
 
 // Stats returns the ordering-quality statistics of the matrix in its
 // current row/column order.
-func (m *Matrix) Stats() Stats { return m.statsPar(1) }
+func (m *Matrix) Stats() Stats { return statsOf(m.csr.StatsUnder(nil, 1)) }
 
-// statsPar is Stats over the row-block-parallel kernels: threads == 1 is
-// the serial sweep, threads < 1 selects GOMAXPROCS. Results are identical
-// at any thread count; Order threads its WithThreads value through here
-// for the Before/After statistics.
-func (m *Matrix) statsPar(threads int) Stats {
-	wf := m.csr.WavefrontPar(threads)
+// statsOf flattens the kernel's statistics into the facade's Stats.
+func statsOf(s spmat.Stats) Stats {
 	return Stats{
-		Bandwidth:     m.csr.BandwidthPar(threads),
-		Profile:       m.csr.ProfilePar(threads),
-		FillProxy:     m.csr.FillProxyPar(threads),
-		MaxWavefront:  wf.Max,
-		MeanWavefront: wf.Mean,
-		RMSWavefront:  wf.RMS,
+		Bandwidth:     s.Bandwidth,
+		Profile:       s.Profile,
+		FillProxy:     s.FillProxy,
+		MaxWavefront:  s.Wavefront.Max,
+		MeanWavefront: s.Wavefront.Mean,
+		RMSWavefront:  s.Wavefront.RMS,
 	}
 }
 

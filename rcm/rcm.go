@@ -92,8 +92,8 @@ func Permute(a *Matrix, perm []int) (*Matrix, error) {
 }
 
 // order validates, runs the selected backend, and assembles the Result.
-// The permuted matrix is computed for the After statistics either way and
-// returned when wantMatrix is set.
+// PAPᵀ is built only when wantMatrix is set: the After statistics are
+// measured from a and the permutation.
 func order(a *Matrix, wantMatrix bool, opts []Option) (*Result, *Matrix, error) {
 	if a == nil || a.csr == nil {
 		return nil, nil, fmt.Errorf("rcm: nil matrix")
@@ -158,19 +158,18 @@ func order(a *Matrix, wantMatrix bool, opts []Option) (*Result, *Matrix, error) 
 		}
 	}
 
-	// The bookkeeping around the ordering — PAPᵀ and the Before/After
-	// statistics — runs on the row-block-parallel kernels under the same
-	// thread budget as the ordering itself (WithThreads; 1 means serial).
-	res.Before = a.statsPar(c.threads)
-	p, err := a.permutePar(res.Perm, c.threads)
-	if err != nil {
+	// The bookkeeping around the ordering — the Before/After statistics and
+	// PAPᵀ for OrderMatrix — runs on the row-block-parallel kernels under the
+	// same thread budget as the ordering itself (WithThreads; 1 means serial).
+	if err := spmat.ValidatePerm(res.Perm, a.csr.N); err != nil {
 		return nil, nil, fmt.Errorf("rcm: internal error: backend returned an invalid permutation: %w", err)
 	}
-	res.After = p.statsPar(c.threads)
+	res.Before = statsOf(a.csr.StatsUnder(nil, c.threads))
+	res.After = statsOf(a.csr.StatsUnder(res.Perm, c.threads))
 	if !wantMatrix {
-		p = nil
+		return res, nil, nil
 	}
-	return res, p, nil
+	return res, wrap(a.csr.PermutePar(res.Perm, c.threads)), nil
 }
 
 // coreOptions is the facade's validation layer: it vets every resolved

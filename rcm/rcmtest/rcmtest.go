@@ -16,7 +16,8 @@ import (
 //   - Result.Components matches an independent ConnectedComponents run.
 //   - PseudoDiameter is non-negative and zero for an empty permutation.
 //   - The Before/After statistics are well-formed: fill proxies are
-//     non-negative, and Before matches the matrix's own Stats.
+//     non-negative, Before matches the matrix's own Stats, and After
+//     matches the Stats of the materialised PAPᵀ.
 //
 // The checks hold for every ordering family (RCM, AMD, Sloan) — the
 // quality properties are advisory: no family guarantees an improvement on
@@ -60,6 +61,15 @@ func CheckResult(t testing.TB, m *rcm.Matrix, res *rcm.Result) {
 	}
 	if got := m.Stats(); got != res.Before {
 		t.Errorf("rcmtest: Result.Before %+v != matrix Stats %+v", res.Before, got)
+	}
+	// Order measures After from the input and Perm without building PAPᵀ;
+	// the materialised PAPᵀ must measure the same.
+	p, err := rcm.Permute(m, res.Perm)
+	if err != nil {
+		t.Fatalf("rcmtest: Permute failed: %v", err)
+	}
+	if got := p.Stats(); got != res.After {
+		t.Errorf("rcmtest: Result.After %+v != Stats of the permuted matrix %+v", res.After, got)
 	}
 	switch res.Ordering {
 	case rcm.AMD:
